@@ -180,19 +180,23 @@ void BM_LinearInferInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearInferInt8)->ArgsProduct({{256, 512}, {8}});
 
+// The one GRU step body through both entry points: second argument 1 is
+// the training step (fills a StepCache for BPTT), 0 the serving step
+// (no cache).
 void BM_GruStep(benchmark::State& state) {
   const std::int64_t batch = state.range(0);
+  const bool cached = state.range(1) != 0;
   Rng rng(3);
   nn::GRUCell cell(16, 32, rng);
   const Tensor x = Tensor::randn({batch, 16}, rng);
   const Tensor h = Tensor::randn({batch, 32}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.step(x, h));
-    cell.clear_cache();
+    nn::GRUCell::StepCache cache;
+    benchmark::DoNotOptimize(cell.step(x, h, cached ? &cache : nullptr));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_GruStep)->Arg(1)->Arg(32);
+BENCHMARK(BM_GruStep)->ArgsProduct({{1, 32}, {0, 1}});
 
 void BM_GruSequenceForwardBackward(benchmark::State& state) {
   Rng rng(4);

@@ -45,25 +45,24 @@ MultiViewModel::MultiViewModel(MultiViewConfig config, Rng& rng)
 }
 
 Tensor MultiViewModel::forward(const std::vector<Tensor>& view_seqs) {
-  MDL_CHECK(view_seqs.size() == encoders_.size(),
-            "expected " << encoders_.size() << " views, got "
-                        << view_seqs.size());
-  std::vector<Tensor> hidden;
-  hidden.reserve(encoders_.size());
-  for (std::size_t p = 0; p < encoders_.size(); ++p)
-    hidden.push_back(encoders_[p]->forward(view_seqs[p]));
-  return fusion_->forward(hidden);
+  return run(view_seqs, true);
 }
 
 Tensor MultiViewModel::infer(const std::vector<Tensor>& view_seqs) const {
+  return run(view_seqs, false);
+}
+
+Tensor MultiViewModel::run(const std::vector<Tensor>& view_seqs,
+                           bool cache) const {
   MDL_CHECK(view_seqs.size() == encoders_.size(),
             "expected " << encoders_.size() << " views, got "
                         << view_seqs.size());
   std::vector<Tensor> hidden;
   hidden.reserve(encoders_.size());
   for (std::size_t p = 0; p < encoders_.size(); ++p)
-    hidden.push_back(encoders_[p]->infer(view_seqs[p]));
-  return fusion_->infer(hidden);
+    hidden.push_back(cache ? encoders_[p]->forward(view_seqs[p])
+                           : encoders_[p]->infer(view_seqs[p]));
+  return cache ? fusion_->forward(hidden) : fusion_->infer(hidden);
 }
 
 void MultiViewModel::backward(const Tensor& grad_logits) {
@@ -152,7 +151,6 @@ double MultiViewTrainer::train(const data::MultiViewDataset& train) {
 std::vector<std::int64_t> MultiViewTrainer::predict(
     const data::MultiViewDataset& ds) {
   MDL_CHECK(ds.size() > 0, "empty dataset");
-  model_.set_training(false);
   std::vector<std::int64_t> out;
   out.reserve(ds.examples.size());
   const std::size_t eval_batch = 64;
@@ -163,10 +161,9 @@ std::vector<std::int64_t> MultiViewTrainer::predict(
     std::vector<std::size_t> idx(end - start);
     std::iota(idx.begin(), idx.end(), start);
     const data::MultiViewBatch batch = data::make_batch(ds, idx);
-    const auto pred = model_.forward(batch.views).argmax_rows();
+    const auto pred = model_.infer(batch.views).argmax_rows();
     out.insert(out.end(), pred.begin(), pred.end());
   }
-  model_.set_training(true);
   return out;
 }
 

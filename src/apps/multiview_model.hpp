@@ -43,9 +43,10 @@ class MultiViewModel {
   /// view_seqs[p] is [T_p, B, dim_p]; returns [B, classes] logits.
   Tensor forward(const std::vector<Tensor>& view_seqs);
 
-  /// Inference-only forward: bit-identical logits to forward() but const and
-  /// cache-free, so one model instance can score concurrent requests
-  /// (the mdl::serve execution path).
+  /// Inference-only forward: forward()'s encoder-then-fusion pass with
+  /// every layer's const infer(), so the logits are bit-identical and one
+  /// model instance can score concurrent requests (the mdl::serve
+  /// execution path).
   Tensor infer(const std::vector<Tensor>& view_seqs) const;
 
   /// Accumulates all gradients from d(loss)/d(logits).
@@ -61,6 +62,11 @@ class MultiViewModel {
   std::string name() const;
 
  private:
+  /// The pass behind forward() (cache = true) and infer(). Layers are held
+  /// through pointers, so this const body may run their caching forward();
+  /// only the non-const forward() asks it to.
+  Tensor run(const std::vector<Tensor>& view_seqs, bool cache) const;
+
   MultiViewConfig config_;
   std::vector<std::unique_ptr<nn::Module>> encoders_;  ///< GRU or BiGRU
   std::unique_ptr<fusion::FusionLayer> fusion_;

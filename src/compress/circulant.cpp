@@ -34,10 +34,15 @@ CirculantLinear::CirculantLinear(std::int64_t in_features,
 }
 
 Tensor CirculantLinear::forward(const Tensor& x) {
+  Tensor y = infer(x);
+  cached_input_ = x;
+  return y;
+}
+
+Tensor CirculantLinear::infer(const Tensor& x) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == in_,
             "CirculantLinear(" << in_ << "->" << out_ << ") got "
                                << x.shape_str());
-  cached_input_ = x;
   const std::int64_t batch = x.shape(0);
   const auto b = static_cast<std::size_t>(block_);
   Tensor y({batch, out_});

@@ -30,11 +30,12 @@ class CirculantLinear : public nn::Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  Tensor infer(const Tensor& x) const override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
 
-  std::int64_t in_features() const { return in_; }
+  std::int64_t in_features() const override { return in_; }
   std::int64_t out_features() const { return out_; }
   std::int64_t block_size() const { return block_; }
 

@@ -5,7 +5,7 @@
 
 namespace mdl::compress {
 
-double distill(nn::Sequential& teacher, nn::Sequential& student,
+double distill(const nn::Sequential& teacher, nn::Sequential& student,
                const data::TabularDataset& train,
                const data::TabularDataset& test, const DistillConfig& config) {
   MDL_CHECK(train.size() > 0, "empty training set");
@@ -13,8 +13,7 @@ double distill(nn::Sequential& teacher, nn::Sequential& student,
             "invalid distillation config");
 
   // Teacher logits are fixed; compute once.
-  teacher.set_training(false);
-  const Tensor teacher_logits = teacher.forward(train.features);
+  const Tensor teacher_logits = teacher.infer(train.features);
 
   Rng rng(config.seed);
   nn::DistillationLoss loss(config.temperature, config.alpha);

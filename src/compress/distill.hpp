@@ -19,7 +19,7 @@ struct DistillConfig {
 
 /// Trains `student` against `teacher`'s logits on `train` with the mixed
 /// KD objective; returns the student's accuracy on `test`.
-double distill(nn::Sequential& teacher, nn::Sequential& student,
+double distill(const nn::Sequential& teacher, nn::Sequential& student,
                const data::TabularDataset& train,
                const data::TabularDataset& test, const DistillConfig& config);
 

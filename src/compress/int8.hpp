@@ -53,7 +53,7 @@ class Int8Linear : public nn::Module {
   std::string name() const override;
   std::int64_t flops_per_example() const override;
 
-  std::int64_t in_features() const { return in_; }
+  std::int64_t in_features() const override { return in_; }
   std::int64_t out_features() const { return out_; }
 
   /// Deployable bytes: int8 weights + per-row f32 scales + f32 bias

@@ -48,6 +48,7 @@ class PrunedLinear : public nn::Module {
   [[noreturn]] Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
+  std::int64_t in_features() const override { return in_; }
 
   double sparsity() const;
   /// Deployable bytes if the weights ship in CSR (+ dense f32 bias).

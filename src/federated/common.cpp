@@ -125,13 +125,10 @@ double full_batch_gradient(nn::Sequential& model,
   return l;
 }
 
-double evaluate_accuracy(nn::Sequential& model,
+double evaluate_accuracy(const nn::Sequential& model,
                          const data::TabularDataset& ds) {
   MDL_CHECK(ds.size() > 0, "empty evaluation set");
-  model.set_training(false);
-  const Tensor logits = model.forward(ds.features);
-  model.set_training(true);
-  const auto pred = logits.argmax_rows();
+  const auto pred = model.infer(ds.features).argmax_rows();
   std::size_t correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == ds.labels[i]) ++correct;

@@ -178,8 +178,9 @@ double local_sgd(nn::Sequential& model, const data::TabularDataset& shard,
 double full_batch_gradient(nn::Sequential& model,
                            const data::TabularDataset& shard);
 
-/// Classification accuracy of `model` on `ds` (runs in inference mode).
-double evaluate_accuracy(nn::Sequential& model, const data::TabularDataset& ds);
+/// Classification accuracy of `model` on `ds` (runs its const infer()).
+double evaluate_accuracy(const nn::Sequential& model,
+                         const data::TabularDataset& ds);
 
 /// Centralized baseline: SGD on the union of shards (upper bound in Fig. 1).
 double train_centralized(nn::Sequential& model, const data::TabularDataset& ds,

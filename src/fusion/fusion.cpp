@@ -33,6 +33,28 @@ void FusionLayer::check_views(const std::vector<Tensor>& views) const {
   }
 }
 
+Tensor FusionLayer::concat_views(const std::vector<Tensor>& views) const {
+  check_views(views);
+  return Tensor::concat_cols(views);
+}
+
+std::vector<Tensor> FusionLayer::split_views(const Tensor& grad_concat) const {
+  std::vector<Tensor> grads;
+  grads.reserve(view_dims_.size());
+  const std::int64_t batch = grad_concat.shape(0);
+  const std::int64_t width = grad_concat.shape(1);
+  std::int64_t off = 0;
+  for (std::int64_t d : view_dims_) {
+    Tensor g({batch, d});
+    for (std::int64_t b = 0; b < batch; ++b)
+      for (std::int64_t i = 0; i < d; ++i)
+        g[b * d + i] = grad_concat[b * width + off + i];
+    grads.push_back(std::move(g));
+    off += d;
+  }
+  return grads;
+}
+
 namespace {
 
 std::int64_t sum_dims(const std::vector<std::int64_t>& dims) {
@@ -45,48 +67,26 @@ std::int64_t sum_dims(const std::vector<std::int64_t>& dims) {
 
 FCFusion::FCFusion(std::vector<std::int64_t> view_dims,
                    std::int64_t hidden_units, std::int64_t classes, Rng& rng)
-    : FusionLayer(std::move(view_dims), classes),
-      hidden_units_(hidden_units),
-      fc1_(sum_dims(view_dims_), hidden_units, rng),
-      fc2_(hidden_units, classes, rng) {
+    : FusionLayer(std::move(view_dims), classes), hidden_units_(hidden_units) {
   MDL_CHECK(hidden_units > 0, "hidden units must be positive");
+  mlp_.emplace<nn::Linear>(sum_dims(view_dims_), hidden_units, rng);
+  mlp_.emplace<nn::ReLU>();
+  mlp_.emplace<nn::Linear>(hidden_units, classes, rng);
 }
 
 Tensor FCFusion::forward(const std::vector<Tensor>& views) {
-  check_views(views);
-  const Tensor h = Tensor::concat_cols(views);
-  return fc2_.forward(relu_.forward(fc1_.forward(h)));
+  return mlp_.forward(concat_views(views));
 }
 
 Tensor FCFusion::infer(const std::vector<Tensor>& views) const {
-  check_views(views);
-  const Tensor h = Tensor::concat_cols(views);
-  return fc2_.infer(relu_.infer(fc1_.infer(h)));
+  return mlp_.infer(concat_views(views));
 }
 
 std::vector<Tensor> FCFusion::backward(const Tensor& grad_logits) {
-  Tensor gh = fc1_.backward(relu_.backward(fc2_.backward(grad_logits)));
-  // Split the concatenated gradient back into per-view slices.
-  std::vector<Tensor> grads;
-  grads.reserve(view_dims_.size());
-  const std::int64_t batch = gh.shape(0);
-  std::int64_t off = 0;
-  for (std::int64_t d : view_dims_) {
-    Tensor g({batch, d});
-    for (std::int64_t b = 0; b < batch; ++b)
-      for (std::int64_t i = 0; i < d; ++i)
-        g[b * d + i] = gh[b * gh.shape(1) + off + i];
-    grads.push_back(std::move(g));
-    off += d;
-  }
-  return grads;
+  return split_views(mlp_.backward(grad_logits));
 }
 
-std::vector<Parameter*> FCFusion::parameters() {
-  std::vector<Parameter*> out = fc1_.parameters();
-  for (Parameter* p : fc2_.parameters()) out.push_back(p);
-  return out;
-}
+std::vector<Parameter*> FCFusion::parameters() { return mlp_.parameters(); }
 
 std::string FCFusion::name() const {
   std::ostringstream os;
@@ -96,7 +96,7 @@ std::string FCFusion::name() const {
 }
 
 std::int64_t FCFusion::flops_per_example() const {
-  return fc1_.flops_per_example() + fc2_.flops_per_example();
+  return mlp_.flops_per_example();
 }
 
 // ----------------------------------------------- FactorizationMachineLayer
@@ -116,45 +116,23 @@ FactorizationMachineLayer::FactorizationMachineLayer(
 }
 
 Tensor FactorizationMachineLayer::forward(const std::vector<Tensor>& views) {
-  check_views(views);
-  cached_h_ = Tensor::concat_cols(views);
-  const std::int64_t batch = cached_h_.shape(0);
-  const std::int64_t d = total_dim_;
-  const std::int64_t k = factors_;
-
-  cached_q_ = Tensor({batch, classes_, k});
-  Tensor y({batch, classes_});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const float* h = cached_h_.data() + b * d;
-    for (std::int64_t a = 0; a < classes_; ++a) {
-      const float* ua = u_.value.data() + a * k * d;
-      const float* wa = w_.value.data() + a * (d + 1);
-      double score = wa[d];  // global bias
-      for (std::int64_t i = 0; i < d; ++i) score += wa[i] * h[i];
-      float* q = cached_q_.data() + (b * classes_ + a) * k;
-      for (std::int64_t j = 0; j < k; ++j) {
-        double acc = 0.0;
-        const float* uaj = ua + j * d;
-        for (std::int64_t i = 0; i < d; ++i) acc += uaj[i] * h[i];
-        q[j] = static_cast<float>(acc);
-        score += acc * acc;
-      }
-      y[b * classes_ + a] = static_cast<float>(score);
-    }
-  }
-  return y;
+  return run(views, &cache_);
 }
 
 Tensor FactorizationMachineLayer::infer(
     const std::vector<Tensor>& views) const {
-  check_views(views);
-  // Mirror forward() term-for-term (same double accumulators) with the
-  // per-batch caches replaced by locals.
-  const Tensor hcat = Tensor::concat_cols(views);
+  return run(views, nullptr);
+}
+
+Tensor FactorizationMachineLayer::run(const std::vector<Tensor>& views,
+                                      Cache* cache) const {
+  Tensor hcat = concat_views(views);
   const std::int64_t batch = hcat.shape(0);
   const std::int64_t d = total_dim_;
   const std::int64_t k = factors_;
 
+  // q = U_a h is kept only for backward().
+  Tensor q = cache != nullptr ? Tensor({batch, classes_, k}) : Tensor();
   Tensor y({batch, classes_});
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* h = hcat.data() + b * d;
@@ -163,22 +141,29 @@ Tensor FactorizationMachineLayer::infer(
       const float* wa = w_.value.data() + a * (d + 1);
       double score = wa[d];  // global bias
       for (std::int64_t i = 0; i < d; ++i) score += wa[i] * h[i];
+      float* qa = cache != nullptr ? q.data() + (b * classes_ + a) * k
+                                   : nullptr;
       for (std::int64_t j = 0; j < k; ++j) {
         double acc = 0.0;
         const float* uaj = ua + j * d;
         for (std::int64_t i = 0; i < d; ++i) acc += uaj[i] * h[i];
+        if (qa != nullptr) qa[j] = static_cast<float>(acc);
         score += acc * acc;
       }
       y[b * classes_ + a] = static_cast<float>(score);
     }
+  }
+  if (cache != nullptr) {
+    cache->h = std::move(hcat);
+    cache->q = std::move(q);
   }
   return y;
 }
 
 std::vector<Tensor> FactorizationMachineLayer::backward(
     const Tensor& grad_logits) {
-  MDL_CHECK(!cached_h_.empty(), "backward before forward");
-  const std::int64_t batch = cached_h_.shape(0);
+  MDL_CHECK(!cache_.h.empty(), "backward before forward");
+  const std::int64_t batch = cache_.h.shape(0);
   const std::int64_t d = total_dim_;
   const std::int64_t k = factors_;
   MDL_CHECK(grad_logits.ndim() == 2 && grad_logits.shape(0) == batch &&
@@ -187,7 +172,7 @@ std::vector<Tensor> FactorizationMachineLayer::backward(
 
   Tensor gh({batch, d});
   for (std::int64_t b = 0; b < batch; ++b) {
-    const float* h = cached_h_.data() + b * d;
+    const float* h = cache_.h.data() + b * d;
     float* ghb = gh.data() + b * d;
     for (std::int64_t a = 0; a < classes_; ++a) {
       const float g = grad_logits[b * classes_ + a];
@@ -196,7 +181,7 @@ std::vector<Tensor> FactorizationMachineLayer::backward(
       const float* uav = u_.value.data() + a * k * d;
       float* wa = w_.grad.data() + a * (d + 1);
       const float* wav = w_.value.data() + a * (d + 1);
-      const float* q = cached_q_.data() + (b * classes_ + a) * k;
+      const float* q = cache_.q.data() + (b * classes_ + a) * k;
       wa[d] += g;
       for (std::int64_t i = 0; i < d; ++i) {
         wa[i] += g * h[i];
@@ -214,18 +199,7 @@ std::vector<Tensor> FactorizationMachineLayer::backward(
     }
   }
 
-  std::vector<Tensor> grads;
-  grads.reserve(view_dims_.size());
-  std::int64_t off = 0;
-  for (std::int64_t vd : view_dims_) {
-    Tensor g({batch, vd});
-    for (std::int64_t b = 0; b < batch; ++b)
-      for (std::int64_t i = 0; i < vd; ++i)
-        g[b * vd + i] = gh[b * d + off + i];
-    grads.push_back(std::move(g));
-    off += vd;
-  }
-  return grads;
+  return split_views(gh);
 }
 
 std::vector<Parameter*> FactorizationMachineLayer::parameters() {
@@ -261,60 +235,26 @@ MultiviewMachineLayer::MultiviewMachineLayer(
 }
 
 Tensor MultiviewMachineLayer::forward(const std::vector<Tensor>& views) {
-  check_views(views);
+  Tensor y = run(views, cached_q_);
   cached_views_ = views;
-  const std::int64_t batch = views.front().shape(0);
-  const std::int64_t k = factors_;
-  const std::int64_t m = num_views();
-
-  cached_q_.assign(static_cast<std::size_t>(m), Tensor());
-  for (std::int64_t p = 0; p < m; ++p) {
-    const std::int64_t dp = view_dims_[static_cast<std::size_t>(p)];
-    Tensor q({batch, classes_, k});
-    const Tensor& uv = u_[static_cast<std::size_t>(p)].value;
-    const Tensor& h = views[static_cast<std::size_t>(p)];
-    for (std::int64_t b = 0; b < batch; ++b) {
-      const float* hb = h.data() + b * dp;
-      for (std::int64_t a = 0; a < classes_; ++a) {
-        const float* ua = uv.data() + a * k * (dp + 1);
-        float* qba = q.data() + (b * classes_ + a) * k;
-        for (std::int64_t j = 0; j < k; ++j) {
-          const float* uaj = ua + j * (dp + 1);
-          double acc = uaj[dp];  // appended-1 bias input
-          for (std::int64_t i = 0; i < dp; ++i) acc += uaj[i] * hb[i];
-          qba[j] = static_cast<float>(acc);
-        }
-      }
-    }
-    cached_q_[static_cast<std::size_t>(p)] = std::move(q);
-  }
-
-  Tensor y({batch, classes_});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t a = 0; a < classes_; ++a) {
-      double score = 0.0;
-      for (std::int64_t j = 0; j < k; ++j) {
-        double prod = 1.0;
-        for (std::int64_t p = 0; p < m; ++p)
-          prod *= cached_q_[static_cast<std::size_t>(p)]
-                           [(b * classes_ + a) * k + j];
-        score += prod;
-      }
-      y[b * classes_ + a] = static_cast<float>(score);
-    }
-  }
   return y;
 }
 
 Tensor MultiviewMachineLayer::infer(const std::vector<Tensor>& views) const {
+  std::vector<Tensor> q;
+  return run(views, q);
+}
+
+Tensor MultiviewMachineLayer::run(const std::vector<Tensor>& views,
+                                  std::vector<Tensor>& q) const {
   check_views(views);
   const std::int64_t batch = views.front().shape(0);
   const std::int64_t k = factors_;
   const std::int64_t m = num_views();
 
-  // Mirror forward(): q is materialized per view in float32 first, then the
-  // cross-view products multiply those float values in double.
-  std::vector<Tensor> q(static_cast<std::size_t>(m));
+  // q is materialized per view in float32 first; the cross-view products
+  // then multiply those float values in double.
+  q.assign(static_cast<std::size_t>(m), Tensor());
   for (std::int64_t p = 0; p < m; ++p) {
     const std::int64_t dp = view_dims_[static_cast<std::size_t>(p)];
     Tensor qp({batch, classes_, k});

@@ -39,9 +39,10 @@ class FusionLayer {
   /// returns d(loss)/d(view_p) for every view.
   virtual std::vector<Tensor> backward(const Tensor& grad_logits) = 0;
 
-  /// Inference-only forward: bit-identical to forward() (same float32
-  /// accumulation order) but const and cache-free, so one fusion head can
-  /// score concurrent batches — the mdl::serve execution path.
+  /// Inference-only forward: the same compute body as forward(), run
+  /// without a cache, so the two are bit-identical (LayerInfer* in
+  /// tests/test_layer_infer.cpp). Const, so one fusion head can score
+  /// concurrent batches — the mdl::serve execution path.
   virtual Tensor infer(const std::vector<Tensor>& views) const = 0;
 
   virtual std::vector<Parameter*> parameters() = 0;
@@ -61,6 +62,10 @@ class FusionLayer {
 
   /// Throws unless `views` matches the declared view dims (equal batch).
   void check_views(const std::vector<Tensor>& views) const;
+  /// check_views(), then h = [h^(1); ...; h^(m)] as [batch, sum d_p].
+  Tensor concat_views(const std::vector<Tensor>& views) const;
+  /// Splits a [batch, sum d_p] gradient back into one slice per view.
+  std::vector<Tensor> split_views(const Tensor& grad_concat) const;
 
   std::vector<std::int64_t> view_dims_;
   std::int64_t classes_;
@@ -81,9 +86,7 @@ class FCFusion : public FusionLayer {
 
  private:
   std::int64_t hidden_units_;
-  nn::Linear fc1_;
-  nn::ReLU relu_;
-  nn::Linear fc2_;
+  nn::Sequential mlp_;  // Linear(d -> k'), ReLU, Linear(k' -> c)
 };
 
 /// Eq. (3): per class a, y_a = sum((U_a h) ⊙ (U_a h)) + w_a^T [h; 1] —
@@ -104,12 +107,19 @@ class FactorizationMachineLayer : public FusionLayer {
   std::int64_t factors() const { return factors_; }
 
  private:
+  struct Cache {
+    Tensor h;  // [batch, total_dim]
+    Tensor q;  // [batch, classes, factors]
+  };
+
+  /// The body of forward() and infer(); stores h and q only into a cache.
+  Tensor run(const std::vector<Tensor>& views, Cache* cache) const;
+
   std::int64_t factors_;
   std::int64_t total_dim_;
   Parameter u_;  // [classes, factors, total_dim]
   Parameter w_;  // [classes, total_dim + 1] (last column = bias)
-  Tensor cached_h_;  // [batch, total_dim]
-  Tensor cached_q_;  // [batch, classes, factors]
+  Cache cache_;
 };
 
 /// Eq. (4): q_a^(p) = U_a^(p) [h^(p); 1]; y_a = sum_j prod_p q_a^(p)[j] —
@@ -129,6 +139,10 @@ class MultiviewMachineLayer : public FusionLayer {
   std::int64_t factors() const { return factors_; }
 
  private:
+  /// The body of forward() and infer(): writes the per-view factor
+  /// projections into `q` ([batch, classes, factors] each).
+  Tensor run(const std::vector<Tensor>& views, std::vector<Tensor>& q) const;
+
   std::int64_t factors_;
   std::vector<Parameter> u_;       // per view: [classes, factors, dim_p + 1]
   std::vector<Tensor> cached_views_;

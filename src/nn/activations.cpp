@@ -7,9 +7,7 @@ namespace mdl::nn {
 
 Tensor ReLU::forward(const Tensor& x) {
   cached_input_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::max(0.0F, y[i]);
-  return y;
+  return infer(x);
 }
 
 Tensor ReLU::infer(const Tensor& x) const {
@@ -36,8 +34,7 @@ float sigmoid_scalar(float x) {
 }
 
 Tensor Sigmoid::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = sigmoid_scalar(y[i]);
+  Tensor y = infer(x);
   cached_output_ = y;
   return y;
 }
@@ -55,8 +52,7 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 }
 
 Tensor Tanh::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
+  Tensor y = infer(x);
   cached_output_ = y;
   return y;
 }
@@ -71,6 +67,14 @@ Tensor Tanh::backward(const Tensor& grad_out) {
     g[i] *= 1.0F - t * t;
   }
   return g;
+}
+
+Tensor gate_preact(const Tensor& x, const Tensor& w, const Tensor& h,
+                   const Tensor& u, const Tensor& b) {
+  Tensor a = matmul_nt(x, w);
+  matmul_nt_acc(h, u, a);
+  add_row_broadcast(a, b);
+  return a;
 }
 
 Tensor sigmoid(const Tensor& x) {

@@ -42,7 +42,14 @@ class Tanh : public Module {
   Tensor cached_output_;
 };
 
-// -- Stateless helpers used by losses, GRU, and classical models -----------
+// -- Stateless helpers used by losses, GRU/LSTM, and classical models ------
+
+/// Gate pre-activation x @ W^T + h @ U^T + b of the recurrent cells. The
+/// recurrent product accumulates straight into the input product's buffer
+/// (matmul_nt_acc), saving a [batch, hidden] temporary and an add pass per
+/// gate per step.
+Tensor gate_preact(const Tensor& x, const Tensor& w, const Tensor& h,
+                   const Tensor& u, const Tensor& b);
 
 /// Numerically stable elementwise sigmoid.
 float sigmoid_scalar(float x);

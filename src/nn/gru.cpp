@@ -7,21 +7,6 @@
 #include "nn/init.hpp"
 
 namespace mdl::nn {
-namespace {
-
-// y = x @ W^T + h @ U^T + b for gate pre-activations. The recurrent
-// product accumulates straight into the input product's buffer
-// (matmul_nt_acc), saving a [batch, hidden] temporary and an add pass per
-// gate per step.
-Tensor gate_preact(const Tensor& x, const Tensor& w, const Tensor& h,
-                   const Tensor& u, const Tensor& b) {
-  Tensor a = matmul_nt(x, w);
-  matmul_nt_acc(h, u, a);
-  add_row_broadcast(a, b);
-  return a;
-}
-
-}  // namespace
 
 GRUCell::GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : input_size_(input_size),
@@ -46,66 +31,47 @@ GRUCell::GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
   b_z_.value.fill(1.0F);
 }
 
-Tensor GRUCell::step(const Tensor& x, const Tensor& h_prev) {
+Tensor GRUCell::step(const Tensor& x, const Tensor& h_prev,
+                     StepCache* cache) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
             "GRU step input " << x.shape_str());
   MDL_CHECK(h_prev.ndim() == 2 && h_prev.shape(1) == hidden_size_ &&
                 h_prev.shape(0) == x.shape(0),
             "GRU step hidden " << h_prev.shape_str());
 
-  StepCache c;
-  c.x = x;
-  c.h_prev = h_prev;
-  c.r = sigmoid(gate_preact(x, w_r_.value, h_prev, u_r_.value, b_r_.value));
-  c.z = sigmoid(gate_preact(x, w_z_.value, h_prev, u_z_.value, b_z_.value));
-  c.rh = c.r;
-  c.rh.mul_(h_prev);
-  c.h_cand =
-      tanh_t(gate_preact(x, w_h_.value, c.rh, u_h_.value, b_h_.value));
-
-  // h = z ⊙ h_prev + (1 - z) ⊙ h~
-  Tensor h = c.z;
-  h.mul_(h_prev);
-  Tensor rest = c.h_cand;
-  for (std::int64_t i = 0; i < rest.size(); ++i)
-    rest[i] *= 1.0F - c.z[i];
-  h.add_(rest);
-
-  cache_.push_back(std::move(c));
-  return h;
-}
-
-Tensor GRUCell::step_infer(const Tensor& x, const Tensor& h_prev) const {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
-            "GRU step input " << x.shape_str());
-  MDL_CHECK(h_prev.ndim() == 2 && h_prev.shape(1) == hidden_size_ &&
-                h_prev.shape(0) == x.shape(0),
-            "GRU step hidden " << h_prev.shape_str());
-
-  // Mirror step() operation-for-operation so the two stay bit-identical.
-  const Tensor r =
+  Tensor r =
       sigmoid(gate_preact(x, w_r_.value, h_prev, u_r_.value, b_r_.value));
-  const Tensor z =
+  Tensor z =
       sigmoid(gate_preact(x, w_z_.value, h_prev, u_z_.value, b_z_.value));
   Tensor rh = r;
   rh.mul_(h_prev);
-  const Tensor h_cand =
+  Tensor h_cand =
       tanh_t(gate_preact(x, w_h_.value, rh, u_h_.value, b_h_.value));
 
+  // h = z ⊙ h_prev + (1 - z) ⊙ h~
   Tensor h = z;
   h.mul_(h_prev);
   Tensor rest = h_cand;
   for (std::int64_t i = 0; i < rest.size(); ++i)
     rest[i] *= 1.0F - z[i];
   h.add_(rest);
+
+  if (cache != nullptr) {
+    cache->x = x;
+    cache->h_prev = h_prev;
+    cache->r = std::move(r);
+    cache->z = std::move(z);
+    cache->h_cand = std::move(h_cand);
+    cache->rh = std::move(rh);
+  }
   return h;
 }
 
-std::pair<Tensor, Tensor> GRUCell::step_backward(const Tensor& grad_h) {
-  MDL_CHECK(!cache_.empty(), "step_backward without a cached step");
-  const StepCache c = std::move(cache_.back());
-  cache_.pop_back();
-  MDL_CHECK(grad_h.same_shape(c.h_prev), "grad_h shape mismatch");
+std::pair<Tensor, Tensor> GRUCell::step_backward(const Tensor& grad_h,
+                                                 const StepCache& c) {
+  MDL_CHECK(grad_h.same_shape(c.h_prev),
+            "grad_h " << grad_h.shape_str() << " does not match the cached "
+                      << "step's h_prev " << c.h_prev.shape_str());
 
   const std::int64_t n = grad_h.size();
 
@@ -156,8 +122,6 @@ std::pair<Tensor, Tensor> GRUCell::step_backward(const Tensor& grad_h) {
   return {std::move(dx), std::move(dh_prev)};
 }
 
-void GRUCell::clear_cache() { cache_.clear(); }
-
 std::vector<Parameter*> GRUCell::parameters() {
   return {&w_r_, &u_r_, &b_r_, &w_z_, &u_z_, &b_z_, &w_h_, &u_h_, &b_h_};
 }
@@ -171,50 +135,51 @@ std::int64_t GRUCell::flops_per_step_per_example() const {
 GRU::GRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : cell_(input_size, hidden_size, rng) {}
 
-Tensor GRU::forward(const Tensor& sequence) {
+Tensor GRU::forward(const Tensor& sequence) { return run(sequence, &cache_); }
+
+Tensor GRU::infer(const Tensor& sequence) const {
+  return run(sequence, nullptr);
+}
+
+Tensor GRU::run(const Tensor& sequence, Cache* cache) const {
   MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
             "GRU expects [T, B, " << cell_.input_size() << "], got "
                                   << sequence.shape_str());
   const std::int64_t t_len = sequence.shape(0);
   const std::int64_t batch = sequence.shape(1);
   MDL_CHECK(t_len > 0, "GRU needs at least one time step");
-  last_t_ = t_len;
-  last_batch_ = batch;
 
-  cell_.clear_cache();
-  hidden_seq_ = Tensor({t_len, batch, cell_.hidden_size()});
+  if (cache != nullptr) {
+    cache->steps.resize(static_cast<std::size_t>(t_len));
+    cache->hidden_seq = Tensor({t_len, batch, cell_.hidden_size()});
+  }
   Tensor h({batch, cell_.hidden_size()});
   for (std::int64_t t = 0; t < t_len; ++t) {
-    h = cell_.step(sequence.time_step(t), h);
-    hidden_seq_.set_time_step(t, h);
+    h = cell_.step(sequence.time_step(t), h,
+                   cache ? &cache->steps[static_cast<std::size_t>(t)]
+                         : nullptr);
+    if (cache != nullptr) cache->hidden_seq.set_time_step(t, h);
   }
-  return h;
-}
-
-Tensor GRU::infer(const Tensor& sequence) const {
-  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
-            "GRU expects [T, B, " << cell_.input_size() << "], got "
-                                  << sequence.shape_str());
-  const std::int64_t t_len = sequence.shape(0);
-  MDL_CHECK(t_len > 0, "GRU needs at least one time step");
-  Tensor h({sequence.shape(1), cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t)
-    h = cell_.step_infer(sequence.time_step(t), h);
   return h;
 }
 
 Tensor GRU::backward(const Tensor& grad_last_hidden) {
+  MDL_CHECK(!cache_.steps.empty(), "GRU backward without a cached forward");
+  const auto t_len = static_cast<std::int64_t>(cache_.steps.size());
+  const std::int64_t batch = cache_.steps.front().x.shape(0);
   MDL_CHECK(grad_last_hidden.ndim() == 2 &&
-                grad_last_hidden.shape(0) == last_batch_ &&
+                grad_last_hidden.shape(0) == batch &&
                 grad_last_hidden.shape(1) == cell_.hidden_size(),
             "GRU backward grad " << grad_last_hidden.shape_str());
-  Tensor grad_input({last_t_, last_batch_, cell_.input_size()});
+  Tensor grad_input({t_len, batch, cell_.input_size()});
   Tensor dh = grad_last_hidden;
-  for (std::int64_t t = last_t_ - 1; t >= 0; --t) {
-    auto [dx, dh_prev] = cell_.step_backward(dh);
+  for (std::int64_t t = t_len - 1; t >= 0; --t) {
+    auto [dx, dh_prev] =
+        cell_.step_backward(dh, cache_.steps[static_cast<std::size_t>(t)]);
     grad_input.set_time_step(t, dx);
     dh = std::move(dh_prev);
   }
+  cache_.steps.clear();  // one backward per forward
   return grad_input;
 }
 
@@ -242,18 +207,17 @@ Tensor BiGRU::reverse_time(const Tensor& seq) {
   return out;
 }
 
-Tensor BiGRU::forward(const Tensor& sequence) {
-  const Tensor h_fwd = fwd_.forward(sequence);
-  const Tensor h_bwd = bwd_.forward(reverse_time(sequence));
+Tensor BiGRU::join(const Tensor& h_fwd, const Tensor& h_bwd) {
   const std::vector<Tensor> parts{h_fwd, h_bwd};
   return Tensor::concat_cols(parts);
 }
 
+Tensor BiGRU::forward(const Tensor& sequence) {
+  return join(fwd_.forward(sequence), bwd_.forward(reverse_time(sequence)));
+}
+
 Tensor BiGRU::infer(const Tensor& sequence) const {
-  const Tensor h_fwd = fwd_.infer(sequence);
-  const Tensor h_bwd = bwd_.infer(reverse_time(sequence));
-  const std::vector<Tensor> parts{h_fwd, h_bwd};
-  return Tensor::concat_cols(parts);
+  return join(fwd_.infer(sequence), bwd_.infer(reverse_time(sequence)));
 }
 
 Tensor BiGRU::backward(const Tensor& grad_hidden) {

@@ -8,10 +8,11 @@
 //   h_k = z_k ⊙ h_{k-1} + (1 - z_k) ⊙ h~_k
 // (biases added, as in every practical implementation).
 //
-// GRUCell exposes a single step with an explicit backward-through-time hook;
-// GRU runs a whole [T, B, I] sequence and returns the final hidden state
-// (the "compact representation of the input sequence" the paper feeds into
-// the fusion layer), with full BPTT in backward().
+// GRUCell exposes a single step with an explicit backward-through-time hook
+// (the caller keeps each step's cache); GRU runs a whole [T, B, I] sequence
+// and returns the final hidden state (the "compact representation of the
+// input sequence" the paper feeds into the fusion layer), with full BPTT in
+// backward().
 #pragma once
 
 #include "core/random.hpp"
@@ -19,28 +20,28 @@
 
 namespace mdl::nn {
 
-/// One GRU step with cached activations for BPTT.
+/// One GRU step; the caller owns the activations cached for BPTT.
 class GRUCell {
  public:
+  /// What step_backward() needs from one step.
+  struct StepCache {
+    Tensor x, h_prev, r, z, h_cand, rh;  // rh = r ⊙ h_prev
+  };
+
   GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
 
-  /// h_t given x_t [B, I] and h_{t-1} [B, H]; caches activations for this
-  /// step on an internal stack (one entry per call since the last
-  /// clear_cache()).
-  Tensor step(const Tensor& x, const Tensor& h_prev);
+  /// h_t given x_t [B, I] and h_{t-1} [B, H]. With a `cache` the step's
+  /// activations are moved into it for step_backward(); without one the
+  /// step is cache-free and safe for concurrent use (mdl::serve batch
+  /// execution). Both run the same float32 chain.
+  Tensor step(const Tensor& x, const Tensor& h_prev,
+              StepCache* cache = nullptr) const;
 
-  /// Inference-only step: the exact float32 chain of step() with no cache
-  /// mutation, safe for concurrent use (mdl::serve batch execution).
-  Tensor step_infer(const Tensor& x, const Tensor& h_prev) const;
-
-  /// Backward through the most recent un-popped step. `grad_h` is
+  /// Backward through the step that filled `cache`. `grad_h` is
   /// d(loss)/d(h_t); returns {d(loss)/d(x_t), d(loss)/d(h_{t-1})} and
   /// accumulates parameter gradients.
-  std::pair<Tensor, Tensor> step_backward(const Tensor& grad_h);
-
-  /// Drops all cached steps (start of a new sequence).
-  void clear_cache();
-  std::size_t cached_steps() const { return cache_.size(); }
+  std::pair<Tensor, Tensor> step_backward(const Tensor& grad_h,
+                                          const StepCache& cache);
 
   std::vector<Parameter*> parameters();
   std::int64_t input_size() const { return input_size_; }
@@ -48,17 +49,12 @@ class GRUCell {
   std::int64_t flops_per_step_per_example() const;
 
  private:
-  struct StepCache {
-    Tensor x, h_prev, r, z, h_cand, rh;  // rh = r ⊙ h_prev
-  };
-
   std::int64_t input_size_;
   std::int64_t hidden_size_;
   // Gate weights: W_* [H, I] act on x; U_* [H, H] act on h.
   Parameter w_r_, u_r_, b_r_;
   Parameter w_z_, u_z_, b_z_;
   Parameter w_h_, u_h_, b_h_;
-  std::vector<StepCache> cache_;
 };
 
 /// Sequence-level GRU. forward() consumes [T, B, I] and returns the final
@@ -70,15 +66,16 @@ class GRU : public Module {
 
   Tensor forward(const Tensor& sequence) override;
   Tensor backward(const Tensor& grad_last_hidden) override;
-  /// [T, B, I] -> final hidden [B, H], bit-identical to forward() but const
-  /// and cache-free (does not update hidden_sequence()).
+  /// [T, B, I] -> final hidden [B, H]: forward()'s body without the cache
+  /// (does not update hidden_sequence()).
   Tensor infer(const Tensor& sequence) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
+  std::int64_t in_features() const override { return input_size(); }
 
   /// Hidden states at every step from the most recent forward: [T, B, H].
-  const Tensor& hidden_sequence() const { return hidden_seq_; }
+  const Tensor& hidden_sequence() const { return cache_.hidden_seq; }
 
   std::int64_t input_size() const { return cell_.input_size(); }
   std::int64_t hidden_size() const { return cell_.hidden_size(); }
@@ -88,10 +85,16 @@ class GRU : public Module {
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
+  struct Cache {
+    std::vector<GRUCell::StepCache> steps;  // one per time step
+    Tensor hidden_seq;                      // [T, B, H]
+  };
+
+  /// The recurrence behind forward() and infer(); fills `cache` if given.
+  Tensor run(const Tensor& sequence, Cache* cache) const;
+
   GRUCell cell_;
-  Tensor hidden_seq_;  // [T, B, H]
-  std::int64_t last_t_ = 0;
-  std::int64_t last_batch_ = 0;
+  Cache cache_;
   std::int64_t nominal_seq_len_ = 1;
 };
 
@@ -109,6 +112,7 @@ class BiGRU : public Module {
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
+  std::int64_t in_features() const override { return input_size(); }
 
   std::int64_t input_size() const { return fwd_.input_size(); }
   /// Output width (2H).
@@ -117,6 +121,8 @@ class BiGRU : public Module {
 
  private:
   static Tensor reverse_time(const Tensor& seq);
+  /// [h_fwd; h_bwd] -> [B, 2H].
+  static Tensor join(const Tensor& h_fwd, const Tensor& h_bwd);
 
   GRU fwd_;
   GRU bwd_;

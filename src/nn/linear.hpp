@@ -22,7 +22,7 @@ class Linear : public Module {
   std::string name() const override;
   std::int64_t flops_per_example() const override;
 
-  std::int64_t in_features() const { return in_; }
+  std::int64_t in_features() const override { return in_; }
   std::int64_t out_features() const { return out_; }
 
   Parameter& weight() { return weight_; }

@@ -6,17 +6,6 @@
 #include "nn/init.hpp"
 
 namespace mdl::nn {
-namespace {
-
-Tensor gate_preact(const Tensor& x, const Tensor& w, const Tensor& h,
-                   const Tensor& u, const Tensor& b) {
-  Tensor a = matmul_nt(x, w);
-  matmul_nt_acc(h, u, a);  // accumulate in place: no per-gate temporary
-  add_row_broadcast(a, b);
-  return a;
-}
-
-}  // namespace
 
 LSTMCell::LSTMCell(std::int64_t input_size, std::int64_t hidden_size,
                    Rng& rng)
@@ -45,54 +34,21 @@ LSTMCell::LSTMCell(std::int64_t input_size, std::int64_t hidden_size,
 
 std::pair<Tensor, Tensor> LSTMCell::step(const Tensor& x,
                                          const Tensor& h_prev,
-                                         const Tensor& c_prev) {
+                                         const Tensor& c_prev,
+                                         StepCache* cache) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
             "LSTM step input " << x.shape_str());
   MDL_CHECK(h_prev.same_shape(c_prev) && h_prev.shape(0) == x.shape(0) &&
                 h_prev.shape(1) == hidden_size_,
             "LSTM step state shapes");
 
-  StepCache cache;
-  cache.x = x;
-  cache.h_prev = h_prev;
-  cache.c_prev = c_prev;
-  cache.i = sigmoid(gate_preact(x, w_i_.value, h_prev, u_i_.value, b_i_.value));
-  cache.f = sigmoid(gate_preact(x, w_f_.value, h_prev, u_f_.value, b_f_.value));
-  cache.o = sigmoid(gate_preact(x, w_o_.value, h_prev, u_o_.value, b_o_.value));
-  cache.g = tanh_t(gate_preact(x, w_g_.value, h_prev, u_g_.value, b_g_.value));
-
-  Tensor c = cache.f;
-  c.mul_(c_prev);
-  Tensor ig = cache.i;
-  ig.mul_(cache.g);
-  c.add_(ig);
-  cache.c = c;
-  cache.tanh_c = tanh_t(c);
-
-  Tensor h = cache.o;
-  h.mul_(cache.tanh_c);
-
-  cache_.push_back(std::move(cache));
-  return {std::move(h), std::move(c)};
-}
-
-std::pair<Tensor, Tensor> LSTMCell::step_infer(const Tensor& x,
-                                               const Tensor& h_prev,
-                                               const Tensor& c_prev) const {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
-            "LSTM step input " << x.shape_str());
-  MDL_CHECK(h_prev.same_shape(c_prev) && h_prev.shape(0) == x.shape(0) &&
-                h_prev.shape(1) == hidden_size_,
-            "LSTM step state shapes");
-
-  // Mirror step() operation-for-operation so the two stay bit-identical.
-  const Tensor i =
+  Tensor i =
       sigmoid(gate_preact(x, w_i_.value, h_prev, u_i_.value, b_i_.value));
-  const Tensor f =
+  Tensor f =
       sigmoid(gate_preact(x, w_f_.value, h_prev, u_f_.value, b_f_.value));
-  const Tensor o =
+  Tensor o =
       sigmoid(gate_preact(x, w_o_.value, h_prev, u_o_.value, b_o_.value));
-  const Tensor g =
+  Tensor g =
       tanh_t(gate_preact(x, w_g_.value, h_prev, u_g_.value, b_g_.value));
 
   Tensor c = f;
@@ -100,17 +56,27 @@ std::pair<Tensor, Tensor> LSTMCell::step_infer(const Tensor& x,
   Tensor ig = i;
   ig.mul_(g);
   c.add_(ig);
+  Tensor tanh_c = tanh_t(c);
 
   Tensor h = o;
-  h.mul_(tanh_t(c));
+  h.mul_(tanh_c);
+
+  if (cache != nullptr) {
+    cache->x = x;
+    cache->h_prev = h_prev;
+    cache->c_prev = c_prev;
+    cache->i = std::move(i);
+    cache->f = std::move(f);
+    cache->o = std::move(o);
+    cache->g = std::move(g);
+    cache->c = c;
+    cache->tanh_c = std::move(tanh_c);
+  }
   return {std::move(h), std::move(c)};
 }
 
 std::tuple<Tensor, Tensor, Tensor> LSTMCell::step_backward(
-    const Tensor& grad_h, const Tensor& grad_c) {
-  MDL_CHECK(!cache_.empty(), "step_backward without a cached step");
-  const StepCache cache = std::move(cache_.back());
-  cache_.pop_back();
+    const Tensor& grad_h, const Tensor& grad_c, const StepCache& cache) {
   MDL_CHECK(grad_h.same_shape(cache.h_prev) && grad_c.same_shape(cache.h_prev),
             "LSTM backward grad shapes");
 
@@ -166,8 +132,6 @@ std::tuple<Tensor, Tensor, Tensor> LSTMCell::step_backward(
   return {std::move(dx), std::move(dh_prev), std::move(dc_prev)};
 }
 
-void LSTMCell::clear_cache() { cache_.clear(); }
-
 std::vector<Parameter*> LSTMCell::parameters() {
   return {&w_i_, &u_i_, &b_i_, &w_f_, &u_f_, &b_f_,
           &w_o_, &u_o_, &b_o_, &w_g_, &u_g_, &b_g_};
@@ -181,51 +145,50 @@ std::int64_t LSTMCell::flops_per_step_per_example() const {
 LSTM::LSTM(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : cell_(input_size, hidden_size, rng) {}
 
-Tensor LSTM::forward(const Tensor& sequence) {
+Tensor LSTM::forward(const Tensor& sequence) { return run(sequence, &steps_); }
+
+Tensor LSTM::infer(const Tensor& sequence) const {
+  return run(sequence, nullptr);
+}
+
+Tensor LSTM::run(const Tensor& sequence,
+                 std::vector<LSTMCell::StepCache>* steps) const {
   MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
             "LSTM expects [T, B, " << cell_.input_size() << "], got "
                                    << sequence.shape_str());
   const std::int64_t t_len = sequence.shape(0);
   const std::int64_t batch = sequence.shape(1);
   MDL_CHECK(t_len > 0, "LSTM needs at least one time step");
-  last_t_ = t_len;
-  last_batch_ = batch;
 
-  cell_.clear_cache();
+  if (steps != nullptr) steps->resize(static_cast<std::size_t>(t_len));
   Tensor h({batch, cell_.hidden_size()});
   Tensor c({batch, cell_.hidden_size()});
   for (std::int64_t t = 0; t < t_len; ++t)
-    std::tie(h, c) = cell_.step(sequence.time_step(t), h, c);
-  return h;
-}
-
-Tensor LSTM::infer(const Tensor& sequence) const {
-  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
-            "LSTM expects [T, B, " << cell_.input_size() << "], got "
-                                   << sequence.shape_str());
-  const std::int64_t t_len = sequence.shape(0);
-  MDL_CHECK(t_len > 0, "LSTM needs at least one time step");
-  Tensor h({sequence.shape(1), cell_.hidden_size()});
-  Tensor c({sequence.shape(1), cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t)
-    std::tie(h, c) = cell_.step_infer(sequence.time_step(t), h, c);
+    std::tie(h, c) =
+        cell_.step(sequence.time_step(t), h, c,
+                   steps ? &(*steps)[static_cast<std::size_t>(t)] : nullptr);
   return h;
 }
 
 Tensor LSTM::backward(const Tensor& grad_last_hidden) {
+  MDL_CHECK(!steps_.empty(), "LSTM backward without a cached forward");
+  const auto t_len = static_cast<std::int64_t>(steps_.size());
+  const std::int64_t batch = steps_.front().x.shape(0);
   MDL_CHECK(grad_last_hidden.ndim() == 2 &&
-                grad_last_hidden.shape(0) == last_batch_ &&
+                grad_last_hidden.shape(0) == batch &&
                 grad_last_hidden.shape(1) == cell_.hidden_size(),
             "LSTM backward grad " << grad_last_hidden.shape_str());
-  Tensor grad_input({last_t_, last_batch_, cell_.input_size()});
+  Tensor grad_input({t_len, batch, cell_.input_size()});
   Tensor dh = grad_last_hidden;
-  Tensor dc({last_batch_, cell_.hidden_size()});
-  for (std::int64_t t = last_t_ - 1; t >= 0; --t) {
-    auto [dx, dh_prev, dc_prev] = cell_.step_backward(dh, dc);
+  Tensor dc({batch, cell_.hidden_size()});
+  for (std::int64_t t = t_len - 1; t >= 0; --t) {
+    auto [dx, dh_prev, dc_prev] =
+        cell_.step_backward(dh, dc, steps_[static_cast<std::size_t>(t)]);
     grad_input.set_time_step(t, dx);
     dh = std::move(dh_prev);
     dc = std::move(dc_prev);
   }
+  steps_.clear();  // one backward per forward
   return grad_input;
 }
 

@@ -18,26 +18,29 @@
 
 namespace mdl::nn {
 
-/// One LSTM step with cached activations for BPTT.
+/// One LSTM step; the caller owns the activations cached for BPTT.
 class LSTMCell {
  public:
+  /// What step_backward() needs from one step.
+  struct StepCache {
+    Tensor x, h_prev, c_prev, i, f, o, g, c, tanh_c;
+  };
+
   LSTMCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
 
-  /// (h_t, c_t) given x_t [B, I], h_{t-1} and c_{t-1} [B, H].
+  /// (h_t, c_t) given x_t [B, I], h_{t-1} and c_{t-1} [B, H]. With a
+  /// `cache` the step's activations are moved into it for step_backward();
+  /// without one the step is cache-free and safe for concurrent use. Both
+  /// run the same float32 chain.
   std::pair<Tensor, Tensor> step(const Tensor& x, const Tensor& h_prev,
-                                 const Tensor& c_prev);
+                                 const Tensor& c_prev,
+                                 StepCache* cache = nullptr) const;
 
-  /// Inference-only step: same float32 chain as step(), no cache mutation.
-  std::pair<Tensor, Tensor> step_infer(const Tensor& x, const Tensor& h_prev,
-                                       const Tensor& c_prev) const;
-
-  /// Backward through the most recent un-popped step. Inputs are
+  /// Backward through the step that filled `cache`. Inputs are
   /// d(loss)/d(h_t) and d(loss)/d(c_t); returns {dx, dh_prev, dc_prev}.
   std::tuple<Tensor, Tensor, Tensor> step_backward(const Tensor& grad_h,
-                                                   const Tensor& grad_c);
-
-  void clear_cache();
-  std::size_t cached_steps() const { return cache_.size(); }
+                                                   const Tensor& grad_c,
+                                                   const StepCache& cache);
 
   std::vector<Parameter*> parameters();
   std::int64_t input_size() const { return input_size_; }
@@ -45,17 +48,12 @@ class LSTMCell {
   std::int64_t flops_per_step_per_example() const;
 
  private:
-  struct StepCache {
-    Tensor x, h_prev, c_prev, i, f, o, g, c, tanh_c;
-  };
-
   std::int64_t input_size_;
   std::int64_t hidden_size_;
   Parameter w_i_, u_i_, b_i_;
   Parameter w_f_, u_f_, b_f_;
   Parameter w_o_, u_o_, b_o_;
   Parameter w_g_, u_g_, b_g_;
-  std::vector<StepCache> cache_;
 };
 
 /// Sequence-level LSTM: [T, B, I] -> final hidden state [B, H].
@@ -69,15 +67,20 @@ class LSTM : public Module {
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
+  std::int64_t in_features() const override { return input_size(); }
 
   std::int64_t input_size() const { return cell_.input_size(); }
   std::int64_t hidden_size() const { return cell_.hidden_size(); }
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
+  /// The recurrence behind forward() and infer(); fills `steps` (one cache
+  /// per time step) if given.
+  Tensor run(const Tensor& sequence,
+             std::vector<LSTMCell::StepCache>* steps) const;
+
   LSTMCell cell_;
-  std::int64_t last_t_ = 0;
-  std::int64_t last_batch_ = 0;
+  std::vector<LSTMCell::StepCache> steps_;
   std::int64_t nominal_seq_len_ = 1;
 };
 

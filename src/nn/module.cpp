@@ -4,11 +4,6 @@
 
 namespace mdl::nn {
 
-Tensor Module::infer(const Tensor& x) const {
-  (void)x;
-  MDL_FAIL("layer " << name() << " has no const inference path");
-}
-
 void Module::save_state(BinaryWriter& w) {
   const auto params = parameters();
   w.write_u32(static_cast<std::uint32_t>(params.size()));
@@ -74,6 +69,13 @@ std::int64_t Sequential::flops_per_example() const {
   std::int64_t n = 0;
   for (const auto& layer : layers_) n += layer->flops_per_example();
   return n;
+}
+
+std::int64_t Sequential::in_features() const {
+  for (const auto& layer : layers_)
+    if (const std::int64_t width = layer->in_features(); width > 0)
+      return width;
+  return 0;
 }
 
 void Sequential::set_training(bool training) {

@@ -32,13 +32,18 @@ class Module {
   /// returns d(loss)/d(input). Must be called at most once per forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  /// Inference-only forward: identical math to forward() in inference mode
-  /// (the same canonical float32 accumulation chain, so outputs are
-  /// bit-identical to forward()), but const and cache-free. Safe to call
-  /// concurrently from several threads on one module instance, which is what
-  /// the mdl::serve batch executor relies on. Layers that cannot provide a
-  /// const path (training-only layers) keep the throwing default.
-  virtual Tensor infer(const Tensor& x) const;
+  /// Inference-only forward, const and cache-free. Each layer has one
+  /// compute body: infer() runs it without a cache and forward() runs the
+  /// same body with the layer's cache (or records its input/output around
+  /// infer()), so in inference mode the two are bit-identical
+  /// (LayerInfer* in tests/test_layer_infer.cpp). Safe to call concurrently
+  /// from several threads on one module instance, which is what the
+  /// mdl::serve batch executor relies on.
+  virtual Tensor infer(const Tensor& x) const = 0;
+
+  /// Width of the last input dimension this layer requires, or 0 when any
+  /// width works (elementwise layers).
+  virtual std::int64_t in_features() const { return 0; }
 
   /// Pointers to this module's trainable parameters (possibly empty).
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -96,6 +101,8 @@ class Sequential : public Module {
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
+  /// The first layer's required width (elementwise layers pass it on).
+  std::int64_t in_features() const override;
   void set_training(bool training) override;
 
   std::size_t size() const { return layers_.size(); }

@@ -24,7 +24,6 @@ PateEnsemble::PateEnsemble(federated::ModelFactory factory,
     Rng train_rng = rng_.fork();
     federated::local_sgd(*teacher, shard, config_.teacher_epochs,
                          config_.batch_size, config_.lr, train_rng);
-    teacher->set_training(false);
     teachers_.push_back(std::move(teacher));
   }
 }
@@ -33,7 +32,7 @@ std::vector<std::int64_t> PateEnsemble::vote_counts(const Tensor& row) const {
   MDL_CHECK(row.ndim() == 2 && row.shape(0) == 1, "expected a [1, D] row");
   std::vector<std::int64_t> counts(static_cast<std::size_t>(classes_), 0);
   for (const auto& teacher : teachers_) {
-    const auto pred = teacher->forward(row).argmax_rows();
+    const auto pred = teacher->infer(row).argmax_rows();
     ++counts[static_cast<std::size_t>(pred[0])];
   }
   return counts;

@@ -107,10 +107,16 @@ void InferenceServer::validate(const InferenceRequest& request) const {
     }
   } else {
     MDL_CHECK(split_ != nullptr, "no split-inference model configured");
-    MDL_CHECK(request.representation.ndim() == 2 &&
-                  request.representation.shape(0) == 1,
-              "representation must be [1, rep_dim], got "
-                  << request.representation.shape_str());
+    const Tensor& rep = request.representation;
+    MDL_CHECK(rep.ndim() == 2 && rep.shape(0) == 1,
+              "representation must be [1, rep_dim], got " << rep.shape_str());
+    // Refused here, a wrong width cannot reach a batch and fail the
+    // well-formed requests riding with it.
+    const std::int64_t width = split_->cloud_input_dim();
+    MDL_CHECK(width == 0 || rep.shape(1) == width,
+              "representation width " << rep.shape(1)
+                                      << " does not match the cloud half's "
+                                      << width);
   }
 }
 

@@ -80,8 +80,11 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Validates and enqueues; thread-safe. The future resolves when the
-  /// request executes, is shed past deadline, or is dropped at shutdown.
+  /// Validates and enqueues; thread-safe. A malformed request (wrong view
+  /// shapes, or a split representation that is not [1, w] with w the cloud
+  /// half's input width) throws mdl::Error here and is never queued. The
+  /// future resolves when the request executes, is shed past deadline, or
+  /// is dropped at shutdown.
   std::future<InferenceResult> submit(InferenceRequest request);
 
   /// Sequential reference path: scores one request immediately on the

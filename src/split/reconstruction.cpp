@@ -26,8 +26,7 @@ ReconstructionReport reconstruction_attack(
   nn::Adam optimizer(decoder.parameters(), config.lr * 0.1);
   nn::MeanSquaredError mse;
 
-  const Tensor clean_rep =
-      system.local_representation(attacker_data.features);
+  const Tensor clean_rep = system.local_infer(attacker_data.features);
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     const auto batches = data::minibatch_indices(
         static_cast<std::size_t>(attacker_data.size()),
@@ -57,7 +56,7 @@ ReconstructionReport reconstruction_attack(
   for (int r = 0; r < reps_count; ++r) {
     Rng eval_rng(config.seed + 100 + static_cast<std::uint64_t>(r));
     Tensor rep = system.perturb(
-        system.local_representation(victim_data.features), perturb, eval_rng);
+        system.local_infer(victim_data.features), perturb, eval_rng);
     err += mse.forward(decoder.forward(rep), victim_data.features);
   }
   err /= reps_count;

@@ -11,7 +11,6 @@ SplitInference::SplitInference(std::unique_ptr<nn::Sequential> local,
     : local_(std::move(local)), cloud_(std::move(cloud)) {
   MDL_CHECK(local_ != nullptr && cloud_ != nullptr,
             "both halves must be provided");
-  local_->set_training(false);  // frozen feature extractor
 }
 
 SplitInference SplitInference::from_whole(
@@ -19,11 +18,6 @@ SplitInference SplitInference::from_whole(
   MDL_CHECK(whole != nullptr, "null model");
   auto cloud = whole->split_off(split_point);
   return SplitInference(std::move(whole), std::move(cloud));
-}
-
-Tensor SplitInference::local_representation(const Tensor& x) {
-  MDL_OBS_SPAN("split.local_representation");
-  return local_->forward(x);
 }
 
 Tensor SplitInference::perturb(const Tensor& representation,
@@ -45,33 +39,27 @@ Tensor SplitInference::perturb(const Tensor& representation,
   return out;
 }
 
-Tensor SplitInference::cloud_logits(const Tensor& representation) {
-  MDL_OBS_SPAN("split.cloud_logits");
-  return cloud_->forward(representation);
-}
-
 Tensor SplitInference::cloud_infer(const Tensor& representation) const {
-  MDL_OBS_SPAN("split.cloud_logits");
+  MDL_OBS_SPAN("split.cloud_infer");
   return cloud_->infer(representation);
 }
 
 Tensor SplitInference::local_infer(const Tensor& x) const {
-  MDL_OBS_SPAN("split.local_representation");
+  MDL_OBS_SPAN("split.local_infer");
   return local_->infer(x);
 }
 
 std::vector<std::int64_t> SplitInference::predict(const Tensor& x,
                                                   const PerturbConfig& config,
-                                                  Rng& rng) {
-  cloud_->set_training(false);
+                                                  Rng& rng) const {
   MDL_OBS_COUNTER_ADD("split.predictions",
                       static_cast<std::uint64_t>(x.shape(0)));
-  const Tensor rep = perturb(local_representation(x), config, rng);
-  return cloud_logits(rep).argmax_rows();
+  const Tensor rep = perturb(local_infer(x), config, rng);
+  return cloud_infer(rep).argmax_rows();
 }
 
 double SplitInference::evaluate(const data::TabularDataset& ds,
-                                const PerturbConfig& config, Rng& rng) {
+                                const PerturbConfig& config, Rng& rng) const {
   const auto pred = predict(ds.features, config, rng);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
@@ -90,7 +78,7 @@ double SplitInference::train_cloud(const data::TabularDataset& train,
 
   // Clean representations are deterministic (frozen local part): compute
   // once; noisy training re-perturbs per minibatch.
-  const Tensor clean_rep = local_representation(train.features);
+  const Tensor clean_rep = local_infer(train.features);
   cloud_->set_training(true);
   nn::SoftmaxCrossEntropy loss;
   double last_loss = 0.0;
@@ -121,9 +109,8 @@ double SplitInference::train_cloud(const data::TabularDataset& train,
   return last_loss;
 }
 
-std::int64_t SplitInference::representation_dim(std::int64_t input_dim) {
-  Tensor probe({1, input_dim});
-  return local_->forward(probe).shape(1);
+std::int64_t SplitInference::representation_dim(std::int64_t input_dim) const {
+  return local_infer(Tensor({1, input_dim})).shape(1);
 }
 
 }  // namespace mdl::split

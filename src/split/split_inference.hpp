@@ -56,30 +56,25 @@ class SplitInference {
                                    std::size_t split_point);
 
   /// Phone-side: raw features -> frozen local representation.
-  Tensor local_representation(const Tensor& x);
+  Tensor local_infer(const Tensor& x) const;
 
   /// Phone-side: clip + nullification + Laplace noise (in place copy).
   Tensor perturb(const Tensor& representation, const PerturbConfig& config,
                  Rng& rng) const;
 
-  /// Cloud-side: (perturbed) representation -> logits.
-  Tensor cloud_logits(const Tensor& representation);
-
-  /// Cloud-side, inference-only: bit-identical to cloud_logits() in eval
-  /// mode but const and cache-free, so one cloud half can serve concurrent
-  /// requests (the mdl::serve execution path).
+  /// Cloud-side: (perturbed) representation -> logits. Const and
+  /// cache-free, so one cloud half can serve concurrent requests (the
+  /// mdl::serve execution path).
   Tensor cloud_infer(const Tensor& representation) const;
-
-  /// Phone-side, inference-only counterpart of local_representation().
-  Tensor local_infer(const Tensor& x) const;
 
   /// End-to-end private prediction.
   std::vector<std::int64_t> predict(const Tensor& x,
-                                    const PerturbConfig& config, Rng& rng);
+                                    const PerturbConfig& config,
+                                    Rng& rng) const;
 
   /// Accuracy under the given perturbation.
   double evaluate(const data::TabularDataset& ds, const PerturbConfig& config,
-                  Rng& rng);
+                  Rng& rng) const;
 
   /// Trains the cloud part; when `noisy` is set, every minibatch's
   /// representations are perturbed with fresh draws from `config`
@@ -93,7 +88,10 @@ class SplitInference {
   nn::Sequential& cloud() { return *cloud_; }
 
   /// Width of the transmitted representation (floats per example).
-  std::int64_t representation_dim(std::int64_t input_dim);
+  std::int64_t representation_dim(std::int64_t input_dim) const;
+
+  /// Representation width the cloud half accepts (0 if it takes any).
+  std::int64_t cloud_input_dim() const { return cloud_->in_features(); }
 
  private:
   std::unique_ptr<nn::Sequential> local_;

@@ -18,8 +18,8 @@ TEST(GRUCell, StepShapeAndDeterminism) {
   const Tensor h1 = cell.step(x, h0);
   EXPECT_EQ(h1.shape(0), 3);
   EXPECT_EQ(h1.shape(1), 6);
-  cell.clear_cache();
-  const Tensor h1b = cell.step(x, h0);
+  GRUCell::StepCache cache;
+  const Tensor h1b = cell.step(x, h0, &cache);
   EXPECT_TRUE(allclose(h1, h1b, 0.0F));
 }
 
@@ -49,20 +49,36 @@ TEST(GRUCell, UpdateGateInterpolates) {
 TEST(GRUCell, BackwardRequiresCache) {
   Rng rng(4);
   GRUCell cell(2, 3, rng);
-  EXPECT_THROW(cell.step_backward(Tensor({1, 3})), Error);
+  EXPECT_THROW(cell.step_backward(Tensor({1, 3}), GRUCell::StepCache{}),
+               Error);
 }
 
-TEST(GRUCell, CacheDepthTracksSteps) {
+TEST(GRUCell, StepFillsGivenCache) {
   Rng rng(5);
   GRUCell cell(2, 3, rng);
-  Tensor h({1, 3});
-  h = cell.step(Tensor({1, 2}), h);
-  h = cell.step(Tensor({1, 2}), h);
-  EXPECT_EQ(cell.cached_steps(), 2U);
-  cell.step_backward(Tensor({1, 3}));
-  EXPECT_EQ(cell.cached_steps(), 1U);
-  cell.clear_cache();
-  EXPECT_EQ(cell.cached_steps(), 0U);
+  const Tensor x = Tensor::randn({1, 2}, rng);
+  const Tensor h0 = Tensor::randn({1, 3}, rng);
+  GRUCell::StepCache cache;
+  const Tensor h1 = cell.step(x, h0, &cache);
+  EXPECT_TRUE(allclose(cache.x, x, 0.0F));
+  EXPECT_TRUE(allclose(cache.h_prev, h0, 0.0F));
+  for (const Tensor* t : {&cache.r, &cache.z, &cache.h_cand, &cache.rh})
+    EXPECT_TRUE(t->same_shape(h1));
+  const auto [dx, dh_prev] = cell.step_backward(Tensor({1, 3}), cache);
+  EXPECT_TRUE(dx.same_shape(x));
+  EXPECT_TRUE(dh_prev.same_shape(h0));
+  EXPECT_THROW(cell.step_backward(Tensor({2, 3}), cache), Error);
+}
+
+TEST(GRU, OneBackwardPerForward) {
+  Rng rng(10);
+  GRU gru(2, 3, rng);
+  EXPECT_THROW(gru.backward(Tensor({2, 3})), Error);
+  gru.forward(Tensor::randn({4, 2, 2}, rng));
+  EXPECT_THROW(gru.backward(Tensor({1, 3})), Error);  // wrong batch
+  const Tensor dx = gru.backward(Tensor({2, 3}));
+  EXPECT_EQ(dx.shape(0), 4);
+  EXPECT_THROW(gru.backward(Tensor({2, 3})), Error);  // cache consumed
 }
 
 TEST(GRU, ForwardShapes) {

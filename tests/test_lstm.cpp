@@ -20,8 +20,8 @@ TEST(LSTMCell, StepShapesAndDeterminism) {
   EXPECT_EQ(h1.shape(0), 3);
   EXPECT_EQ(h1.shape(1), 6);
   EXPECT_TRUE(c1.same_shape(h1));
-  cell.clear_cache();
-  auto [h1b, c1b] = cell.step(x, h0, c0);
+  LSTMCell::StepCache cache;
+  auto [h1b, c1b] = cell.step(x, h0, c0, &cache);
   EXPECT_TRUE(allclose(h1, h1b, 0.0F));
   EXPECT_TRUE(allclose(c1, c1b, 0.0F));
 }
@@ -48,7 +48,9 @@ TEST(LSTMCell, ParameterCount) {
 TEST(LSTMCell, BackwardRequiresCache) {
   Rng rng(4);
   LSTMCell cell(2, 3, rng);
-  EXPECT_THROW(cell.step_backward(Tensor({1, 3}), Tensor({1, 3})), Error);
+  EXPECT_THROW(cell.step_backward(Tensor({1, 3}), Tensor({1, 3}),
+                                  LSTMCell::StepCache{}),
+               Error);
 }
 
 TEST(LSTM, ForwardShapes) {

@@ -332,6 +332,32 @@ TEST(ServeQueue, RejectsMalformedRequests) {
 // Split path: server-side perturbation, seeded per request.
 // ---------------------------------------------------------------------------
 
+TEST(ServeSplit, WrongWidthRefusedAtSubmitBatchMatesSucceed) {
+  Rng rng(21);
+  const split::SplitInference split_model = make_split(rng);
+  ASSERT_EQ(split_model.cloud_input_dim(), 5);
+  ServeConfig cfg;
+  cfg.max_batch_size = 8;
+  InferenceServer server(nullptr, &split_model, cfg);
+
+  // Seven well-formed requests staged, two wrong-width ones refused at
+  // submit, then the eighth well-formed request completes the batch.
+  server.pause();
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 7; ++i)
+    futures.push_back(server.submit(split_request(rng)));
+  EXPECT_THROW(server.submit(split_request(rng, 4)), Error);
+  EXPECT_THROW(server.submit(split_request(rng, 32)), Error);
+  EXPECT_EQ(server.queue_depth(), 7U);
+  futures.push_back(server.submit(split_request(rng)));
+  server.resume();
+  for (auto& f : futures) {
+    const InferenceResult r = f.get();
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.batch_size, 8);
+  }
+}
+
 TEST(ServeSplit, BatchedPerturbationMatchesSequential) {
   PoolGuard guard;
   Rng rng(18);

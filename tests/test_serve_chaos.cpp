@@ -33,21 +33,45 @@ namespace {
 constexpr std::int64_t kRepDim = 5;
 constexpr std::int64_t kClasses = 3;
 
-split::SplitInference make_split(Rng& rng) {
+/// Test-only cloud layer: the identity, except that each infer() while
+/// `armed` > 0 consumes one arm and throws — a model that fails mid-batch on
+/// the executor thread.
+class Tripwire : public nn::Module {
+ public:
+  explicit Tripwire(std::atomic<int>& armed) : armed_(armed) {}
+  Tensor forward(const Tensor& x) override { return infer(x); }
+  Tensor backward(const Tensor& grad_out) override { return grad_out; }
+  Tensor infer(const Tensor& x) const override {
+    int arms = armed_.load();
+    while (arms > 0 && !armed_.compare_exchange_weak(arms, arms - 1)) {
+    }
+    MDL_CHECK(arms <= 0, "tripwire: model failed mid-batch");
+    return x;
+  }
+  std::string name() const override { return "Tripwire"; }
+
+ private:
+  std::atomic<int>& armed_;
+};
+
+/// With `tripwire`, the cloud half starts with a Tripwire on it.
+split::SplitInference make_split(Rng& rng,
+                                 std::atomic<int>* tripwire = nullptr) {
   auto local = std::make_unique<nn::Sequential>();
   local->emplace<nn::Linear>(6, kRepDim, rng);
   local->emplace<nn::Tanh>();
   auto cloud = std::make_unique<nn::Sequential>();
+  if (tripwire != nullptr) cloud->emplace<Tripwire>(*tripwire);
   cloud->emplace<nn::Linear>(kRepDim, 8, rng);
   cloud->emplace<nn::ReLU>();
   cloud->emplace<nn::Linear>(8, kClasses, rng);
   return split::SplitInference(std::move(local), std::move(cloud));
 }
 
-InferenceRequest split_request(Rng& rng, std::int64_t rep_dim = kRepDim) {
+InferenceRequest split_request(Rng& rng) {
   InferenceRequest req;
   req.kind = RequestKind::kSplit;
-  req.representation = prop::gen_tensor(rng, {1, rep_dim}, 3.0);
+  req.representation = prop::gen_tensor(rng, {1, kRepDim}, 3.0);
   req.noise_seed = rng.next_u64();
   return req;
 }
@@ -333,14 +357,13 @@ TEST(ChaosAdmission, DeadlineShedCarriesStatusDetail) {
 
 TEST(ChaosExecutor, ModelExceptionCompletesBatchAsErrorAndServerSurvives) {
   Rng rng(33);
-  const split::SplitInference split_model = make_split(rng);
+  std::atomic<int> tripwire{0};
+  const split::SplitInference split_model = make_split(rng, &tripwire);
   InferenceServer server(nullptr, &split_model, ServeConfig{});
 
-  // A wrong-width representation passes submit-time validation (shape
-  // [1, D]) but throws inside the cloud half's first Linear — on the
-  // executor thread.
-  const InferenceResult bad =
-      server.submit(split_request(rng, kRepDim + 2)).get();
+  // The armed cloud half throws on the executor thread.
+  tripwire = 1;
+  const InferenceResult bad = server.submit(split_request(rng)).get();
   EXPECT_EQ(bad.status, RequestStatus::kError);
   EXPECT_FALSE(bad.status_detail.empty());
   EXPECT_STREQ(bad.shed_reason, "error");
@@ -371,7 +394,8 @@ TEST(ChaosExecutor, InjectedFaultSurfacesAsErrorWithDetail) {
 
 TEST(ChaosBreakerIntegration, TripsOnFailuresThenRecoversViaProbe) {
   Rng rng(35);
-  const split::SplitInference split_model = make_split(rng);
+  std::atomic<int> tripwire{0};
+  const split::SplitInference split_model = make_split(rng, &tripwire);
   ServeConfig cfg;
   cfg.breaker.enabled = true;
   cfg.breaker.window = 4;
@@ -381,10 +405,10 @@ TEST(ChaosBreakerIntegration, TripsOnFailuresThenRecoversViaProbe) {
   cfg.breaker.half_open_admits = 1;
   InferenceServer server(nullptr, &split_model, cfg);
 
-  // Two one-request batches fail (wrong-width reps): breaker trips.
+  // Two one-request batches fail (the model throws): breaker trips.
+  tripwire = 2;
   for (int i = 0; i < 2; ++i) {
-    const InferenceResult r =
-        server.submit(split_request(rng, kRepDim + 2)).get();
+    const InferenceResult r = server.submit(split_request(rng)).get();
     ASSERT_EQ(r.status, RequestStatus::kError);
   }
   ASSERT_EQ(server.circuit_state(), CircuitBreaker::State::kOpen);
@@ -561,7 +585,8 @@ TEST(ChaosClient, CountersReconcileExactly) {
 
 MDL_PROP_TEST(ChaosLiveness, EveryFutureResolvesUnderAnyFaultSchedule) {
   Rng model_rng(4242);
-  const split::SplitInference split_model = make_split(model_rng);
+  std::atomic<int> tripwire{0};
+  const split::SplitInference split_model = make_split(model_rng, &tripwire);
 
   ServeConfig cfg;
   cfg.max_batch_size = prop::gen_int(rng, 1, 4);
@@ -598,9 +623,7 @@ MDL_PROP_TEST(ChaosLiveness, EveryFutureResolvesUnderAnyFaultSchedule) {
         InferenceRequest req = split_request(trng);
         if (trng.bernoulli(0.3))
           req.deadline_us = prop::gen_int(trng, 50, 400);
-        if (trng.bernoulli(0.1))
-          req.representation =
-              prop::gen_tensor(trng, {1, kRepDim + 2}, 3.0);  // model throws
+        if (trng.bernoulli(0.1)) tripwire.fetch_add(1);  // model throws
         switch (server.submit(std::move(req)).get().status) {
           case RequestStatus::kOk: ok.fetch_add(1); break;
           case RequestStatus::kShedDeadline: shed.fetch_add(1); break;

@@ -45,9 +45,20 @@ TEST_F(SplitFixture, FromWholePreservesFunction) {
   whole->set_training(false);
   const Tensor expected = whole->forward(x);
   SplitInference split = SplitInference::from_whole(std::move(whole), 2);
-  const Tensor composed = split.cloud_logits(split.local_representation(x));
+  const Tensor composed = split.cloud_infer(split.local_infer(x));
   EXPECT_TRUE(allclose(expected, composed, 1e-5F));
   EXPECT_EQ(split.representation_dim(12), 8);
+  EXPECT_EQ(split.cloud_input_dim(), 8);
+}
+
+TEST(SequentialWidth, FirstSizedLayerDecides) {
+  Rng rng(5);
+  nn::Sequential net;
+  EXPECT_EQ(net.in_features(), 0);
+  net.emplace<nn::Tanh>();  // elementwise: any width
+  EXPECT_EQ(net.in_features(), 0);
+  net.emplace<nn::Linear>(7, 3, rng);
+  EXPECT_EQ(net.in_features(), 7);
 }
 
 TEST_F(SplitFixture, PerturbClipsAndNullifies) {
@@ -71,7 +82,7 @@ TEST_F(SplitFixture, NoPerturbationIsIdentityWithinClip) {
   Rng rng(4);
   SplitInference split = SplitInference::from_whole(make_net(rng), 2);
   // Tanh output is already within [-1, 1] < clip bound.
-  const Tensor rep = split.local_representation(Tensor::randn({2, 12}, rng));
+  const Tensor rep = split.local_infer(Tensor::randn({2, 12}, rng));
   PerturbConfig cfg;
   cfg.nullification_rate = 0.0;
   cfg.laplace_scale = 0.0;
